@@ -293,6 +293,24 @@ func encodeReply(unique uint64, errno vfs.Errno, payload []byte) []byte {
 	return w.b
 }
 
+// readReplyHeaderLen is the reply header plus the u32 length prefix of a
+// READ reply's payload; the data follows it.
+const readReplyHeaderLen = respHeaderLen + 4
+
+// finishReadReply completes a successful READ reply built in place: n
+// bytes of data already sit at frame[readReplyHeaderLen:], and the
+// header and length prefix are written in front of them. The result is
+// byte-identical to encodeReply(unique, OK, payload) of the same data
+// encoded with buf.bytes.
+func finishReadReply(frame []byte, unique uint64, n int) []byte {
+	frame = frame[:readReplyHeaderLen+n]
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(frame)))
+	binary.LittleEndian.PutUint32(frame[4:], uint32(int32(vfs.OK)))
+	binary.LittleEndian.PutUint64(frame[8:], unique)
+	binary.LittleEndian.PutUint32(frame[respHeaderLen:], uint32(n))
+	return frame
+}
+
 // decodeReply splits a reply frame into errno and payload.
 func decodeReply(frame []byte) (uint64, vfs.Errno, []byte, error) {
 	if len(frame) < respHeaderLen {

@@ -404,11 +404,13 @@ func (s *Server) dispatch(frame []byte) ([]byte, ioAcct) {
 		handle := vfs.Handle(r.u64())
 		off := r.i64()
 		size := int(r.u32())
-		dest := make([]byte, size)
-		n, err := s.fs.Read(op, handle, off, dest)
-		if err == nil {
-			w.bytes(dest[:n])
+		// The data lands straight in the reply frame: the header and
+		// the payload's length prefix are reserved and filled in after.
+		reply := make([]byte, readReplyHeaderLen+size)
+		n, err := s.fs.Read(op, handle, off, reply[readReplyHeaderLen:])
+		if err == nil && !r.bad {
 			acct.isRead, acct.readBytes = true, int64(n)
+			return finishReadReply(reply, h.Unique, n), acct
 		}
 		opErr = err
 

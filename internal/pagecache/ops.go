@@ -1,7 +1,7 @@
 package pagecache
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"cntr/internal/vfs"
@@ -142,18 +142,19 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 				if fetch < PageSize {
 					fetch = PageSize
 				}
-				buf := make([]byte, fetch)
+				buf := c.windowBuf(fetch)
 				n, err := c.backing.Read(op, h, idx*PageSize, buf)
 				if err != nil {
 					return int(read), err
 				}
+				// The window is reused: bytes past a short read must read
+				// as zeros, as in a freshly allocated buffer.
+				clear(buf[n:])
 				if c.opts.ChargeDisk != nil {
 					c.opts.ChargeDisk.Read(n)
 				}
 				for pi := int64(0); pi*PageSize < int64(n); pi++ {
-					pageBuf := make([]byte, PageSize)
-					copy(pageBuf, buf[pi*PageSize:min64(int64(n), (pi+1)*PageSize)])
-					inserted := c.insertPage(st.ino, idx+pi, pageBuf)
+					inserted := c.cacheCopy(st.ino, idx+pi, buf[pi*PageSize:min64(int64(n), (pi+1)*PageSize)])
 					if pi == 0 {
 						p = inserted
 					}
@@ -174,6 +175,15 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 	}
 	f.lastReadEnd = off + read
 	return int(read), nil
+}
+
+// windowBuf returns the cache's synchronous-miss window, n bytes long.
+// Caller holds c.mu, and the window is valid only while it does.
+func (c *Cache) windowBuf(n int64) []byte {
+	if int64(cap(c.window)) < n {
+		c.window = make([]byte, n)
+	}
+	return c.window[:n]
 }
 
 func min64(a, b int64) int64 {
@@ -317,9 +327,7 @@ func (c *Cache) readAheadAsync(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCac
 	var p *page
 	firstPage := win.start / PageSize
 	for pi := int64(0); pi*PageSize < int64(n); pi++ {
-		pageBuf := make([]byte, PageSize)
-		copy(pageBuf, win.buf[pi*PageSize:min64(int64(n), (pi+1)*PageSize)])
-		inserted := c.insertPage(ino, firstPage+pi, pageBuf)
+		inserted := c.cacheCopy(ino, firstPage+pi, win.buf[pi*PageSize:min64(int64(n), (pi+1)*PageSize)])
 		if firstPage+pi == idx {
 			p = inserted
 		}
@@ -559,24 +567,23 @@ func (c *Cache) killPrivsLocked(op *vfs.Op, st *openState) {
 // capped at MaxWriteSize. When the backing filesystem supports pipelined
 // submission (vfs.AsyncFS) and AsyncDepth is configured, all extents are
 // submitted before any is awaited — batched writeback: the extents'
-// round trips overlap instead of paying one blocking trip each. Caller
-// holds c.mu.
+// round trips overlap instead of paying one blocking trip each, so each
+// extent needs a buffer of its own. Synchronous writeback builds each
+// extent in the cache's one scratch buffer and writes it before building
+// the next. Caller holds c.mu.
 func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 	if f.dirtyBytes == 0 || !f.wbValid {
 		return
 	}
-	idxs := make([]int64, 0, len(f.pages))
+	idxs := c.dirtyIdx[:0]
 	for idx, p := range f.pages {
 		if p.dirty {
 			idxs = append(idxs, idx)
 		}
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	type extent struct {
-		start int64
-		buf   []byte
-	}
-	var extents []extent
+	slices.Sort(idxs)
+	c.dirtyIdx = idxs
+	var batch []vfs.WriteReq
 	i := 0
 	for i < len(idxs) {
 		j := i
@@ -590,7 +597,15 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 		if end > f.size {
 			end = f.size
 		}
-		buf := make([]byte, 0, end-start)
+		var buf []byte
+		if c.async != nil {
+			buf = make([]byte, 0, end-start)
+		} else {
+			if int64(cap(c.extent)) < end-start {
+				c.extent = make([]byte, 0, end-start)
+			}
+			buf = c.extent[:0]
+		}
 		for k := idxs[i]; k <= endPage; k++ {
 			p := f.pages[k]
 			lo, hi := int64(0), int64(PageSize)
@@ -607,25 +622,25 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 			p.dirtyLo, p.dirtyHi = 0, 0
 		}
 		if len(buf) > 0 {
-			extents = append(extents, extent{start, buf})
+			if c.async != nil {
+				batch = append(batch, vfs.WriteReq{Off: start, Data: buf})
+			} else {
+				c.writeExtent(f, start, buf)
+			}
 		}
 		i = j + 1
 	}
-	if c.async != nil && len(extents) > 1 {
+	if len(batch) > 1 {
 		// Batched writeback: submit every extent before awaiting any, so
 		// the round trips overlap; a batch-capable backing additionally
 		// admits the whole extent set in one policy decision.
 		var pendings []vfs.PendingIO
 		if ba, ok := c.async.(vfs.BatchAsyncFS); ok {
-			reqs := make([]vfs.WriteReq, len(extents))
-			for i, e := range extents {
-				reqs[i] = vfs.WriteReq{Off: e.start, Data: e.buf}
-			}
-			pendings = ba.SubmitWriteBatch(wbOp, f.wbHandle, reqs)
+			pendings = ba.SubmitWriteBatch(wbOp, f.wbHandle, batch)
 		} else {
-			pendings = make([]vfs.PendingIO, len(extents))
-			for i, e := range extents {
-				pendings[i] = c.async.SubmitWrite(wbOp, f.wbHandle, e.start, e.buf)
+			pendings = make([]vfs.PendingIO, len(batch))
+			for i, r := range batch {
+				pendings[i] = c.async.SubmitWrite(wbOp, f.wbHandle, r.Off, r.Data)
 			}
 		}
 		for i, p := range pendings {
@@ -634,17 +649,10 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 				c.opts.ChargeDisk.Write(n)
 			}
 			c.stats.FlushedExt++
-			c.stats.FlushedB += int64(len(extents[i].buf))
+			c.stats.FlushedB += int64(len(batch[i].Data))
 		}
-	} else {
-		for _, e := range extents {
-			n, err := c.backing.Write(wbOp, f.wbHandle, e.start, e.buf)
-			if err == nil && c.opts.ChargeDisk != nil {
-				c.opts.ChargeDisk.Write(n)
-			}
-			c.stats.FlushedExt++
-			c.stats.FlushedB += int64(len(e.buf))
-		}
+	} else if len(batch) == 1 {
+		c.writeExtent(f, batch[0].Off, batch[0].Data)
 	}
 	f.dirtyBytes = 0
 	// Dirty data is gone: zombie handles kept for writeback can go too.
@@ -655,6 +663,17 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 		c.backing.Release(wbOp, zh)
 	}
 	f.zombies = nil
+}
+
+// writeExtent writes one writeback extent through the backing
+// filesystem with a blocking call. Caller holds c.mu.
+func (c *Cache) writeExtent(f *fileCache, start int64, buf []byte) {
+	n, err := c.backing.Write(wbOp, f.wbHandle, start, buf)
+	if err == nil && c.opts.ChargeDisk != nil {
+		c.opts.ChargeDisk.Write(n)
+	}
+	c.stats.FlushedExt++
+	c.stats.FlushedB += int64(len(buf))
 }
 
 // flushPageLocked writes out one dirty page (used by eviction).
@@ -925,6 +944,11 @@ func (c *Cache) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 			// or not — Postmark's files die before reaching the disk.
 			if c.opts.Budget != nil {
 				c.opts.Budget.release(int64(len(f.pages)) * PageSize)
+			}
+			// Zombie handles were only kept for writeback of the data
+			// just discarded; left open they would pin the backing inode.
+			for _, zh := range f.zombies {
+				c.backing.Release(wbOp, zh)
 			}
 			delete(c.files, attr.Ino)
 		}

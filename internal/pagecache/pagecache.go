@@ -145,6 +145,18 @@ type Cache struct {
 	lru    []pageKey // approximate LRU: append on use, scan from front
 	stats  Stats
 	fsized map[vfs.Handle]bool
+
+	// Scratch buffers reused across operations, guarded by mu (which is
+	// held across the backing calls that fill or drain them). window
+	// receives a synchronous miss's backing read until its pages are
+	// cached; extent builds one synchronous writeback extent, written
+	// before the next is built; dirtyIdx collects a flush's dirty page
+	// indexes. None outlives the call that fills it: page frames are
+	// copied out of window, and no backing Write keeps the data slice it
+	// was handed.
+	window   []byte
+	extent   []byte
+	dirtyIdx []int64
 }
 
 // wbOp is the request context for kernel-internal I/O (writeback,
@@ -266,18 +278,14 @@ func (c *Cache) file(ino vfs.Ino) *fileCache {
 	return f
 }
 
-// insertPage adds a page to the cache, evicting under budget pressure.
-// Caller holds c.mu.
+// insertPage caches data as page idx of ino, evicting under budget
+// pressure, and returns the new page — or nil when the budget is
+// exhausted and nothing can be evicted. idx must not be cached yet.
+// insertPage takes ownership of data, which must be PageSize long: the
+// page's frame is data itself, not a copy, so the caller must not touch
+// data again once it returns a page. Caller holds c.mu.
 func (c *Cache) insertPage(ino vfs.Ino, idx int64, data []byte) *page {
 	f := c.file(ino)
-	if p, ok := f.pages[idx]; ok {
-		if !p.dirty {
-			// Refresh a clean page; dirty pages hold newer data than
-			// the backing copy (readahead must not clobber them).
-			copy(p.data, data)
-		}
-		return p
-	}
 	if c.opts.Budget != nil {
 		for !c.opts.Budget.tryCharge(PageSize) {
 			if !c.evictOne() {
@@ -286,11 +294,28 @@ func (c *Cache) insertPage(ino vfs.Ino, idx int64, data []byte) *page {
 			}
 		}
 	}
-	p := &page{data: make([]byte, PageSize)}
-	copy(p.data, data)
+	p := &page{data: data}
 	f.pages[idx] = p
 	c.lru = append(c.lru, pageKey{ino, idx})
 	return p
+}
+
+// cacheCopy caches a copy of src — at most one page; a shorter src
+// leaves a zero-filled tail — as page idx of ino, and returns the page
+// (nil when the budget has no room). A page already cached is refreshed
+// in place when clean, so only a page new to the cache costs a frame;
+// dirty pages hold newer data than the backing copy and are left alone
+// (readahead must not clobber them). Caller holds c.mu.
+func (c *Cache) cacheCopy(ino vfs.Ino, idx int64, src []byte) *page {
+	if p, ok := c.file(ino).pages[idx]; ok {
+		if !p.dirty {
+			clear(p.data[copy(p.data, src):])
+		}
+		return p
+	}
+	frame := make([]byte, PageSize)
+	copy(frame, src)
+	return c.insertPage(ino, idx, frame)
 }
 
 // evictOne drops one clean cached page; dirty pages are flushed first.

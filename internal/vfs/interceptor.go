@@ -119,6 +119,12 @@ type OpInfo struct {
 // run code before and/or after next (stats, tracing), replace the result
 // (fault injection: skip next and return an error), or delay it. The
 // chain built by Chain applies interceptors outermost-first.
+//
+// info and next are valid only until Intercept returns and must not be
+// retained: the chain recycles both for later operations. next may be
+// called more than once within Intercept; each call re-runs the rest of
+// the chain. The same holds for the info handed to InterceptSubmit and
+// InterceptSubmitBatch.
 type Interceptor interface {
 	Intercept(info *OpInfo, next func() error) error
 }
@@ -210,329 +216,545 @@ func (c *chainFS) dropHandle(h Handle) {
 	c.hmu.Unlock()
 }
 
-// run invokes call through the interceptor chain.
-func (c *chainFS) run(info *OpInfo, call func() error) error {
-	next := call
-	for i := len(c.ics) - 1; i >= 0; i-- {
-		ic, inner := c.ics[i], next
-		next = func() error { return ic.Intercept(info, inner) }
-	}
-	return next()
+// chainFrame is one operation's trip through a chain: the OpInfo the
+// interceptors see, the call's arguments and results, and the cursor of
+// the next interceptor to run. Frames are recycled through framePool, so
+// an operation builds no per-interceptor closure and heap-allocates no
+// OpInfo; next is bound to the frame once, when the frame is created.
+// Recycling is safe because interceptors must not retain info or next
+// past Intercept's return (see Interceptor), and a frame holds nothing
+// that can change an operation's outcome once released.
+type chainFrame struct {
+	c     *chainFS
+	info  OpInfo
+	depth int
+	// next is f.step bound once; call is the innermost invocation, a
+	// package-level function reading the arguments below.
+	next func() error
+	call func(f *chainFrame) error
+
+	// Arguments. Interceptors may rewrite info, so calls read these
+	// copies instead, exactly as the closures they replace captured them.
+	ino, parent Ino
+	name        string
+	newParent   Ino
+	newName     string // Rename's destination name or Symlink's target
+	h           Handle
+	off, length int64
+	buf         []byte
+	mode        Mode
+	typ         FileType
+	u32         uint32 // rdev, access mask or fallocate mode
+	nlookup     uint64
+	datasync    bool
+	mask        SetattrMask
+	attrIn      Attr
+	openFlags   OpenFlags
+	renFlags    RenameFlags
+	xflags      XattrFlags
+	pending     PendingIO
+	// err is a pre-resolved result: a submit-time denial routed through
+	// the chain so observers see it.
+	err error
+
+	// Results.
+	n       int
+	attr    Attr
+	target  string
+	ents    []Dirent
+	st      StatfsOut
+	value   []byte
+	names   []string
+	reached bool
 }
 
-func (c *chainFS) Lookup(op *Op, parent Ino, name string) (Attr, error) {
-	info := &OpInfo{Kind: KindLookup, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Lookup(op, parent, name)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
+var framePool = sync.Pool{New: func() any {
+	f := &chainFrame{}
+	f.next = f.step
+	return f
+}}
+
+// frame takes a recycled frame for one operation of kind on ino.
+func (c *chainFS) frame(kind OpKind, op *Op, ino Ino) *chainFrame {
+	f := framePool.Get().(*chainFrame)
+	f.c = c
+	f.info = OpInfo{Kind: kind, Op: op, Ino: ino}
+	return f
+}
+
+// release clears f, dropping every reference it holds, and recycles it.
+func (f *chainFrame) release() {
+	next := f.next
+	*f = chainFrame{next: next}
+	framePool.Put(f)
+}
+
+// runErr runs the operation in f and recycles f.
+func (f *chainFrame) runErr() error {
+	err := f.run()
+	f.release()
+	return err
+}
+
+// runAttr runs the operation in f, recycles f and returns the
+// attributes the call produced.
+func (f *chainFrame) runAttr() (Attr, error) {
+	err := f.run()
+	attr := f.attr
+	f.release()
 	return attr, err
+}
+
+// run invokes the frame's call through the whole interceptor chain.
+func (f *chainFrame) run() error {
+	f.depth = 0
+	return f.step()
+}
+
+// step runs the interceptor at the cursor, or the call itself once every
+// interceptor has passed. The cursor is restored on return, so an
+// interceptor may call next more than once and each call re-runs the
+// rest of the chain.
+func (f *chainFrame) step() error {
+	d := f.depth
+	if d == len(f.c.ics) {
+		return f.call(f)
+	}
+	f.depth = d + 1
+	err := f.c.ics[d].Intercept(&f.info, f.next)
+	f.depth = d
+	return err
+}
+
+func callLookup(f *chainFrame) error {
+	var err error
+	f.attr, err = f.c.fs.Lookup(f.info.Op, f.parent, f.name)
+	if err == nil {
+		f.info.ResultIno = f.attr.Ino
+	}
+	return err
+}
+
+func callForget(f *chainFrame) error {
+	f.c.fs.Forget(f.info.Op, f.ino, f.nlookup)
+	return nil
+}
+
+func callGetattr(f *chainFrame) error {
+	var err error
+	f.attr, err = f.c.fs.Getattr(f.info.Op, f.ino)
+	return err
+}
+
+func callSetattr(f *chainFrame) error {
+	var err error
+	f.attr, err = f.c.fs.Setattr(f.info.Op, f.ino, f.mask, f.attrIn)
+	return err
+}
+
+func callMknod(f *chainFrame) error {
+	var err error
+	f.attr, err = f.c.fs.Mknod(f.info.Op, f.parent, f.name, f.typ, f.mode, f.u32)
+	if err == nil {
+		f.info.ResultIno = f.attr.Ino
+	}
+	return err
+}
+
+func callMkdir(f *chainFrame) error {
+	var err error
+	f.attr, err = f.c.fs.Mkdir(f.info.Op, f.parent, f.name, f.mode)
+	if err == nil {
+		f.info.ResultIno = f.attr.Ino
+	}
+	return err
+}
+
+func callSymlink(f *chainFrame) error {
+	var err error
+	f.attr, err = f.c.fs.Symlink(f.info.Op, f.parent, f.name, f.newName)
+	if err == nil {
+		f.info.ResultIno = f.attr.Ino
+	}
+	return err
+}
+
+func callReadlink(f *chainFrame) error {
+	var err error
+	f.target, err = f.c.fs.Readlink(f.info.Op, f.ino)
+	return err
+}
+
+func callUnlink(f *chainFrame) error { return f.c.fs.Unlink(f.info.Op, f.parent, f.name) }
+
+func callRmdir(f *chainFrame) error { return f.c.fs.Rmdir(f.info.Op, f.parent, f.name) }
+
+func callRename(f *chainFrame) error {
+	return f.c.fs.Rename(f.info.Op, f.parent, f.name, f.newParent, f.newName, f.renFlags)
+}
+
+func callLink(f *chainFrame) error {
+	var err error
+	f.attr, err = f.c.fs.Link(f.info.Op, f.ino, f.parent, f.name)
+	if err == nil {
+		f.info.ResultIno = f.attr.Ino
+	}
+	return err
+}
+
+func callCreate(f *chainFrame) error {
+	var err error
+	f.attr, f.h, err = f.c.fs.Create(f.info.Op, f.parent, f.name, f.mode, f.openFlags)
+	if err == nil {
+		f.info.ResultIno = f.attr.Ino
+		f.c.trackHandle(f.h, f.attr.Ino)
+	}
+	return err
+}
+
+func callOpen(f *chainFrame) error {
+	var err error
+	f.h, err = f.c.fs.Open(f.info.Op, f.ino, f.openFlags)
+	if err == nil {
+		f.c.trackHandle(f.h, f.ino)
+	}
+	return err
+}
+
+func callRead(f *chainFrame) error {
+	var err error
+	f.n, err = f.c.fs.Read(f.info.Op, f.h, f.off, f.buf)
+	f.info.Bytes = f.n
+	return err
+}
+
+func callWrite(f *chainFrame) error {
+	var err error
+	f.n, err = f.c.fs.Write(f.info.Op, f.h, f.off, f.buf)
+	f.info.Bytes = f.n
+	return err
+}
+
+func callFlush(f *chainFrame) error { return f.c.fs.Flush(f.info.Op, f.h) }
+
+func callFsync(f *chainFrame) error { return f.c.fs.Fsync(f.info.Op, f.h, f.datasync) }
+
+func callRelease(f *chainFrame) error { return f.c.fs.Release(f.info.Op, f.h) }
+
+func callOpendir(f *chainFrame) error {
+	var err error
+	f.h, err = f.c.fs.Opendir(f.info.Op, f.ino)
+	if err == nil {
+		f.c.trackHandle(f.h, f.ino)
+	}
+	return err
+}
+
+func callReaddir(f *chainFrame) error {
+	var err error
+	f.ents, err = f.c.fs.Readdir(f.info.Op, f.h, f.off)
+	return err
+}
+
+func callReleasedir(f *chainFrame) error { return f.c.fs.Releasedir(f.info.Op, f.h) }
+
+func callStatfs(f *chainFrame) error {
+	var err error
+	f.st, err = f.c.fs.Statfs(f.info.Op, f.ino)
+	return err
+}
+
+func callSetxattr(f *chainFrame) error {
+	return f.c.fs.Setxattr(f.info.Op, f.ino, f.name, f.buf, f.xflags)
+}
+
+func callGetxattr(f *chainFrame) error {
+	var err error
+	f.value, err = f.c.fs.Getxattr(f.info.Op, f.ino, f.name)
+	return err
+}
+
+func callListxattr(f *chainFrame) error {
+	var err error
+	f.names, err = f.c.fs.Listxattr(f.info.Op, f.ino)
+	return err
+}
+
+func callRemovexattr(f *chainFrame) error { return f.c.fs.Removexattr(f.info.Op, f.ino, f.name) }
+
+func callAccess(f *chainFrame) error { return f.c.fs.Access(f.info.Op, f.ino, f.u32) }
+
+func callFallocate(f *chainFrame) error {
+	return f.c.fs.Fallocate(f.info.Op, f.h, f.u32, f.off, f.length)
+}
+
+// callAwait collects a pipelined completion, noting that the chain
+// reached it (see chainPending.Await).
+func callAwait(f *chainFrame) error {
+	f.reached = true
+	var err error
+	f.n, err = f.pending.Await(f.info.Op)
+	f.info.Bytes = f.n
+	return err
+}
+
+// callErr returns a result decided before dispatch.
+func callErr(f *chainFrame) error { return f.err }
+
+func (c *chainFS) Lookup(op *Op, parent Ino, name string) (Attr, error) {
+	f := c.frame(KindLookup, op, parent)
+	f.info.Name = name
+	f.parent, f.name, f.call = parent, name, callLookup
+	return f.runAttr()
 }
 
 func (c *chainFS) Forget(op *Op, ino Ino, nlookup uint64) {
-	info := &OpInfo{Kind: KindForget, Op: op, Ino: ino}
-	_ = c.run(info, func() error {
-		c.fs.Forget(op, ino, nlookup)
-		return nil
-	})
+	f := c.frame(KindForget, op, ino)
+	f.ino, f.nlookup, f.call = ino, nlookup, callForget
+	_ = f.run()
+	f.release()
 }
 
 func (c *chainFS) Getattr(op *Op, ino Ino) (Attr, error) {
-	info := &OpInfo{Kind: KindGetattr, Op: op, Ino: ino}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Getattr(op, ino)
-		return err
-	})
-	return attr, err
+	f := c.frame(KindGetattr, op, ino)
+	f.ino, f.call = ino, callGetattr
+	return f.runAttr()
 }
 
 func (c *chainFS) Setattr(op *Op, ino Ino, mask SetattrMask, attr Attr) (Attr, error) {
-	info := &OpInfo{Kind: KindSetattr, Op: op, Ino: ino}
-	var out Attr
-	err := c.run(info, func() error {
-		var err error
-		out, err = c.fs.Setattr(op, ino, mask, attr)
-		return err
-	})
-	return out, err
+	f := c.frame(KindSetattr, op, ino)
+	f.ino, f.mask, f.attrIn, f.call = ino, mask, attr, callSetattr
+	return f.runAttr()
 }
 
 func (c *chainFS) Mknod(op *Op, parent Ino, name string, typ FileType, mode Mode, rdev uint32) (Attr, error) {
-	info := &OpInfo{Kind: KindMknod, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Mknod(op, parent, name, typ, mode, rdev)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	f := c.frame(KindMknod, op, parent)
+	f.info.Name = name
+	f.parent, f.name, f.typ, f.mode, f.u32, f.call = parent, name, typ, mode, rdev, callMknod
+	return f.runAttr()
 }
 
 func (c *chainFS) Mkdir(op *Op, parent Ino, name string, mode Mode) (Attr, error) {
-	info := &OpInfo{Kind: KindMkdir, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Mkdir(op, parent, name, mode)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	f := c.frame(KindMkdir, op, parent)
+	f.info.Name = name
+	f.parent, f.name, f.mode, f.call = parent, name, mode, callMkdir
+	return f.runAttr()
 }
 
 func (c *chainFS) Symlink(op *Op, parent Ino, name, target string) (Attr, error) {
-	info := &OpInfo{Kind: KindSymlink, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Symlink(op, parent, name, target)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	f := c.frame(KindSymlink, op, parent)
+	f.info.Name = name
+	f.parent, f.name, f.newName, f.call = parent, name, target, callSymlink
+	return f.runAttr()
 }
 
 func (c *chainFS) Readlink(op *Op, ino Ino) (string, error) {
-	info := &OpInfo{Kind: KindReadlink, Op: op, Ino: ino}
-	var target string
-	err := c.run(info, func() error {
-		var err error
-		target, err = c.fs.Readlink(op, ino)
-		return err
-	})
+	f := c.frame(KindReadlink, op, ino)
+	f.ino, f.call = ino, callReadlink
+	err := f.run()
+	target := f.target
+	f.release()
 	return target, err
 }
 
 func (c *chainFS) Unlink(op *Op, parent Ino, name string) error {
-	info := &OpInfo{Kind: KindUnlink, Op: op, Ino: parent, Name: name}
-	return c.run(info, func() error { return c.fs.Unlink(op, parent, name) })
+	f := c.frame(KindUnlink, op, parent)
+	f.info.Name = name
+	f.parent, f.name, f.call = parent, name, callUnlink
+	return f.runErr()
 }
 
 func (c *chainFS) Rmdir(op *Op, parent Ino, name string) error {
-	info := &OpInfo{Kind: KindRmdir, Op: op, Ino: parent, Name: name}
-	return c.run(info, func() error { return c.fs.Rmdir(op, parent, name) })
+	f := c.frame(KindRmdir, op, parent)
+	f.info.Name = name
+	f.parent, f.name, f.call = parent, name, callRmdir
+	return f.runErr()
 }
 
 func (c *chainFS) Rename(op *Op, oldParent Ino, oldName string, newParent Ino, newName string, flags RenameFlags) error {
-	info := &OpInfo{Kind: KindRename, Op: op, Ino: oldParent, Name: oldName,
-		NewParentIno: newParent, NewName: newName}
-	return c.run(info, func() error {
-		return c.fs.Rename(op, oldParent, oldName, newParent, newName, flags)
-	})
+	f := c.frame(KindRename, op, oldParent)
+	f.info.Name, f.info.NewParentIno, f.info.NewName = oldName, newParent, newName
+	f.parent, f.name, f.newParent, f.newName, f.renFlags = oldParent, oldName, newParent, newName, flags
+	f.call = callRename
+	return f.runErr()
 }
 
 func (c *chainFS) Link(op *Op, ino Ino, parent Ino, name string) (Attr, error) {
-	info := &OpInfo{Kind: KindLink, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Link(op, ino, parent, name)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	f := c.frame(KindLink, op, parent)
+	f.info.Name = name
+	f.ino, f.parent, f.name, f.call = ino, parent, name, callLink
+	return f.runAttr()
 }
 
 func (c *chainFS) Create(op *Op, parent Ino, name string, mode Mode, flags OpenFlags) (Attr, Handle, error) {
-	info := &OpInfo{Kind: KindCreate, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	var h Handle
-	err := c.run(info, func() error {
-		var err error
-		attr, h, err = c.fs.Create(op, parent, name, mode, flags)
-		if err == nil {
-			info.ResultIno = attr.Ino
-			c.trackHandle(h, attr.Ino)
-		}
-		return err
-	})
+	f := c.frame(KindCreate, op, parent)
+	f.info.Name = name
+	f.parent, f.name, f.mode, f.openFlags, f.call = parent, name, mode, flags, callCreate
+	err := f.run()
+	attr, h := f.attr, f.h
+	f.release()
 	return attr, h, err
 }
 
 func (c *chainFS) Open(op *Op, ino Ino, flags OpenFlags) (Handle, error) {
-	info := &OpInfo{Kind: KindOpen, Op: op, Ino: ino}
-	var h Handle
-	err := c.run(info, func() error {
-		var err error
-		h, err = c.fs.Open(op, ino, flags)
-		if err == nil {
-			c.trackHandle(h, ino)
-		}
-		return err
-	})
+	f := c.frame(KindOpen, op, ino)
+	f.ino, f.openFlags, f.call = ino, flags, callOpen
+	err := f.run()
+	h := f.h
+	f.release()
 	return h, err
 }
 
 func (c *chainFS) Read(op *Op, h Handle, off int64, dest []byte) (int, error) {
-	info := &OpInfo{Kind: KindRead, Op: op, Ino: c.handleIno(h)}
-	var n int
-	err := c.run(info, func() error {
-		var err error
-		n, err = c.fs.Read(op, h, off, dest)
-		info.Bytes = n
-		return err
-	})
+	f := c.frame(KindRead, op, c.handleIno(h))
+	f.h, f.off, f.buf, f.call = h, off, dest, callRead
+	err := f.run()
+	n := f.n
+	f.release()
 	return n, err
 }
 
 func (c *chainFS) Write(op *Op, h Handle, off int64, data []byte) (int, error) {
-	info := &OpInfo{Kind: KindWrite, Op: op, Ino: c.handleIno(h)}
-	var n int
-	err := c.run(info, func() error {
-		var err error
-		n, err = c.fs.Write(op, h, off, data)
-		info.Bytes = n
-		return err
-	})
+	f := c.frame(KindWrite, op, c.handleIno(h))
+	f.h, f.off, f.buf, f.call = h, off, data, callWrite
+	err := f.run()
+	n := f.n
+	f.release()
 	return n, err
 }
 
 func (c *chainFS) Flush(op *Op, h Handle) error {
-	info := &OpInfo{Kind: KindFlush, Op: op, Ino: c.handleIno(h)}
-	return c.run(info, func() error { return c.fs.Flush(op, h) })
+	f := c.frame(KindFlush, op, c.handleIno(h))
+	f.h, f.call = h, callFlush
+	return f.runErr()
 }
 
 func (c *chainFS) Fsync(op *Op, h Handle, datasync bool) error {
-	info := &OpInfo{Kind: KindFsync, Op: op, Ino: c.handleIno(h)}
-	return c.run(info, func() error { return c.fs.Fsync(op, h, datasync) })
+	f := c.frame(KindFsync, op, c.handleIno(h))
+	f.h, f.datasync, f.call = h, datasync, callFsync
+	return f.runErr()
 }
 
 func (c *chainFS) Release(op *Op, h Handle) error {
-	info := &OpInfo{Kind: KindRelease, Op: op, Ino: c.handleIno(h)}
-	err := c.run(info, func() error { return c.fs.Release(op, h) })
+	f := c.frame(KindRelease, op, c.handleIno(h))
+	f.h, f.call = h, callRelease
+	err := f.run()
+	f.release()
 	c.dropHandle(h)
 	return err
 }
 
 func (c *chainFS) Opendir(op *Op, ino Ino) (Handle, error) {
-	info := &OpInfo{Kind: KindOpendir, Op: op, Ino: ino}
-	var h Handle
-	err := c.run(info, func() error {
-		var err error
-		h, err = c.fs.Opendir(op, ino)
-		if err == nil {
-			c.trackHandle(h, ino)
-		}
-		return err
-	})
+	f := c.frame(KindOpendir, op, ino)
+	f.ino, f.call = ino, callOpendir
+	err := f.run()
+	h := f.h
+	f.release()
 	return h, err
 }
 
 func (c *chainFS) Readdir(op *Op, h Handle, off int64) ([]Dirent, error) {
-	info := &OpInfo{Kind: KindReaddir, Op: op, Ino: c.handleIno(h)}
-	var ents []Dirent
-	err := c.run(info, func() error {
-		var err error
-		ents, err = c.fs.Readdir(op, h, off)
-		return err
-	})
+	f := c.frame(KindReaddir, op, c.handleIno(h))
+	f.h, f.off, f.call = h, off, callReaddir
+	err := f.run()
+	ents := f.ents
+	f.release()
 	return ents, err
 }
 
 func (c *chainFS) Releasedir(op *Op, h Handle) error {
-	info := &OpInfo{Kind: KindReleasedir, Op: op, Ino: c.handleIno(h)}
-	err := c.run(info, func() error { return c.fs.Releasedir(op, h) })
+	f := c.frame(KindReleasedir, op, c.handleIno(h))
+	f.h, f.call = h, callReleasedir
+	err := f.run()
+	f.release()
 	c.dropHandle(h)
 	return err
 }
 
 func (c *chainFS) Statfs(op *Op, ino Ino) (StatfsOut, error) {
-	info := &OpInfo{Kind: KindStatfs, Op: op, Ino: ino}
-	var st StatfsOut
-	err := c.run(info, func() error {
-		var err error
-		st, err = c.fs.Statfs(op, ino)
-		return err
-	})
+	f := c.frame(KindStatfs, op, ino)
+	f.ino, f.call = ino, callStatfs
+	err := f.run()
+	st := f.st
+	f.release()
 	return st, err
 }
 
 func (c *chainFS) Setxattr(op *Op, ino Ino, name string, value []byte, flags XattrFlags) error {
-	info := &OpInfo{Kind: KindSetxattr, Op: op, Ino: ino, Name: name}
-	return c.run(info, func() error {
-		return c.fs.Setxattr(op, ino, name, value, flags)
-	})
+	f := c.frame(KindSetxattr, op, ino)
+	f.info.Name = name
+	f.ino, f.name, f.buf, f.xflags, f.call = ino, name, value, flags, callSetxattr
+	return f.runErr()
 }
 
 func (c *chainFS) Getxattr(op *Op, ino Ino, name string) ([]byte, error) {
-	info := &OpInfo{Kind: KindGetxattr, Op: op, Ino: ino, Name: name}
-	var v []byte
-	err := c.run(info, func() error {
-		var err error
-		v, err = c.fs.Getxattr(op, ino, name)
-		return err
-	})
+	f := c.frame(KindGetxattr, op, ino)
+	f.info.Name = name
+	f.ino, f.name, f.call = ino, name, callGetxattr
+	err := f.run()
+	v := f.value
+	f.release()
 	return v, err
 }
 
 func (c *chainFS) Listxattr(op *Op, ino Ino) ([]string, error) {
-	info := &OpInfo{Kind: KindListxattr, Op: op, Ino: ino}
-	var names []string
-	err := c.run(info, func() error {
-		var err error
-		names, err = c.fs.Listxattr(op, ino)
-		return err
-	})
+	f := c.frame(KindListxattr, op, ino)
+	f.ino, f.call = ino, callListxattr
+	err := f.run()
+	names := f.names
+	f.release()
 	return names, err
 }
 
 func (c *chainFS) Removexattr(op *Op, ino Ino, name string) error {
-	info := &OpInfo{Kind: KindRemovexattr, Op: op, Ino: ino, Name: name}
-	return c.run(info, func() error { return c.fs.Removexattr(op, ino, name) })
+	f := c.frame(KindRemovexattr, op, ino)
+	f.info.Name = name
+	f.ino, f.name, f.call = ino, name, callRemovexattr
+	return f.runErr()
 }
 
 func (c *chainFS) Access(op *Op, ino Ino, mask uint32) error {
-	info := &OpInfo{Kind: KindAccess, Op: op, Ino: ino}
-	return c.run(info, func() error { return c.fs.Access(op, ino, mask) })
+	f := c.frame(KindAccess, op, ino)
+	f.ino, f.u32, f.call = ino, mask, callAccess
+	return f.runErr()
 }
 
 func (c *chainFS) Fallocate(op *Op, h Handle, mode uint32, off, length int64) error {
-	info := &OpInfo{Kind: KindFallocate, Op: op, Ino: c.handleIno(h)}
-	return c.run(info, func() error {
-		return c.fs.Fallocate(op, h, mode, off, length)
-	})
+	f := c.frame(KindFallocate, op, c.handleIno(h))
+	f.h, f.u32, f.off, f.length, f.call = h, mode, off, length, callFallocate
+	return f.runErr()
 }
 
 // Unwrap exposes the chained filesystem so capability probes
 // (vfs.IsAsync) can see through the wrapper.
 func (c *chainFS) Unwrap() FS { return c.fs }
 
-// admitSubmit runs the chain's submit-time gates; a non-nil error means
-// the submission must fail without dispatching anything. A denied
-// submission is still routed through the ordinary interceptor chain
-// with its error pre-resolved (info.Async set, so the denying gate does
-// not re-decide) — outer interceptors such as a tracer observe the
+// deny routes a submit-time denial through the ordinary interceptor
+// chain with its error pre-resolved (info.Async set, so the denying gate
+// does not re-decide) — outer interceptors such as a tracer observe the
 // denial exactly as they would on the synchronous path.
-func (c *chainFS) admitSubmit(info *OpInfo) error {
+func (f *chainFrame) deny(err error) error {
+	f.info.Async = true
+	f.err, f.call = err, callErr
+	if rerr := f.run(); rerr != nil {
+		return rerr
+	}
+	// An interceptor swallowed the error; the gate's denial still
+	// stands — nothing was dispatched.
+	return err
+}
+
+// admitSubmit runs the chain's submit-time gates over the operation in
+// f; a non-nil error means the submission must fail without dispatching
+// anything.
+func (c *chainFS) admitSubmit(f *chainFrame) error {
 	for _, ic := range c.ics {
 		si, ok := ic.(SubmitInterceptor)
 		if !ok {
 			continue
 		}
-		if err := si.InterceptSubmit(info); err != nil {
-			info.Async = true
-			if rerr := c.run(info, func() error { return err }); rerr != nil {
-				return rerr
-			}
-			// An interceptor swallowed the error; the gate's denial
-			// still stands — nothing was dispatched.
-			return err
+		if err := si.InterceptSubmit(&f.info); err != nil {
+			return f.deny(err)
 		}
 	}
 	return nil
@@ -551,11 +773,14 @@ func (c *chainFS) SubmitRead(op *Op, h Handle, off int64, dest []byte) PendingIO
 		n, err := c.Read(op, h, off, dest)
 		return completedIO{n, err}
 	}
-	info := &OpInfo{Kind: KindRead, Op: op, Ino: c.handleIno(h)}
-	if err := c.admitSubmit(info); err != nil {
+	f := c.frame(KindRead, op, c.handleIno(h))
+	err := c.admitSubmit(f)
+	ino := f.info.Ino
+	f.release()
+	if err != nil {
 		return completedIO{0, err}
 	}
-	return &chainPending{c: c, kind: KindRead, ino: info.Ino, inner: a.SubmitRead(op, h, off, dest)}
+	return &chainPending{c: c, kind: KindRead, ino: ino, inner: a.SubmitRead(op, h, off, dest)}
 }
 
 // SubmitWrite implements vfs.AsyncFS (see SubmitRead for chain timing).
@@ -565,47 +790,46 @@ func (c *chainFS) SubmitWrite(op *Op, h Handle, off int64, data []byte) PendingI
 		n, err := c.Write(op, h, off, data)
 		return completedIO{n, err}
 	}
-	info := &OpInfo{Kind: KindWrite, Op: op, Ino: c.handleIno(h)}
-	if err := c.admitSubmit(info); err != nil {
+	f := c.frame(KindWrite, op, c.handleIno(h))
+	err := c.admitSubmit(f)
+	ino := f.info.Ino
+	f.release()
+	if err != nil {
 		return completedIO{0, err}
 	}
-	return &chainPending{c: c, kind: KindWrite, ino: info.Ino, inner: a.SubmitWrite(op, h, off, data)}
+	return &chainPending{c: c, kind: KindWrite, ino: ino, inner: a.SubmitWrite(op, h, off, data)}
 }
 
 // admitSubmitBatch runs the chain's submit-time gates over a whole
-// pipelined window (info.BatchOps same-kind operations on one inode).
+// pipelined window (f.info.BatchOps same-kind operations on one inode).
 // Batch-aware gates decide the window in one call; batch-unaware gates
 // are called once per operation, exactly as per-op submission would
 // have. A denial is routed through the ordinary chain once, with
 // BatchOps preserved so observers know the scope of what was refused.
-func (c *chainFS) admitSubmitBatch(info *OpInfo) error {
-	if info.BatchOps <= 1 {
-		return c.admitSubmit(info)
+func (c *chainFS) admitSubmitBatch(f *chainFrame) error {
+	if f.info.BatchOps <= 1 {
+		return c.admitSubmit(f)
 	}
 	for _, ic := range c.ics {
 		var err error
 		switch g := ic.(type) {
 		case BatchSubmitInterceptor:
-			err = g.InterceptSubmitBatch(info)
+			err = g.InterceptSubmitBatch(&f.info)
 		case SubmitInterceptor:
 			// Batch-unaware gate: decide each operation of the window
 			// individually so its accounting matches per-op submission.
-			per := *info
-			per.BatchOps = 0
-			for i := 0; i < info.BatchOps && err == nil; i++ {
-				err = g.InterceptSubmit(&per)
+			per := c.frame(f.info.Kind, f.info.Op, f.info.Ino)
+			per.info = f.info
+			per.info.BatchOps = 0
+			for i := 0; i < f.info.BatchOps && err == nil; i++ {
+				err = g.InterceptSubmit(&per.info)
 			}
+			per.release()
 		default:
 			continue
 		}
 		if err != nil {
-			info.Async = true
-			if rerr := c.run(info, func() error { return err }); rerr != nil {
-				return rerr
-			}
-			// An interceptor swallowed the error; the gate's denial
-			// still stands — nothing was dispatched.
-			return err
+			return f.deny(err)
 		}
 	}
 	return nil
@@ -625,8 +849,12 @@ func (c *chainFS) SubmitReadBatch(op *Op, h Handle, reqs []ReadReq) []PendingIO 
 		}
 		return out
 	}
-	info := &OpInfo{Kind: KindRead, Op: op, Ino: c.handleIno(h), BatchOps: len(reqs)}
-	if err := c.admitSubmitBatch(info); err != nil {
+	f := c.frame(KindRead, op, c.handleIno(h))
+	f.info.BatchOps = len(reqs)
+	err := c.admitSubmitBatch(f)
+	ino := f.info.Ino
+	f.release()
+	if err != nil {
 		for i := range out {
 			out[i] = completedIO{0, err}
 		}
@@ -635,12 +863,12 @@ func (c *chainFS) SubmitReadBatch(op *Op, h Handle, reqs []ReadReq) []PendingIO 
 	if ba, ok := c.fs.(BatchAsyncFS); ok {
 		// A nested batch-capable layer keeps the window intact below us.
 		for i, p := range ba.SubmitReadBatch(op, h, reqs) {
-			out[i] = &chainPending{c: c, kind: KindRead, ino: info.Ino, inner: p}
+			out[i] = &chainPending{c: c, kind: KindRead, ino: ino, inner: p}
 		}
 		return out
 	}
 	for i, r := range reqs {
-		out[i] = &chainPending{c: c, kind: KindRead, ino: info.Ino, inner: a.SubmitRead(op, h, r.Off, r.Dest)}
+		out[i] = &chainPending{c: c, kind: KindRead, ino: ino, inner: a.SubmitRead(op, h, r.Off, r.Dest)}
 	}
 	return out
 }
@@ -656,8 +884,12 @@ func (c *chainFS) SubmitWriteBatch(op *Op, h Handle, reqs []WriteReq) []PendingI
 		}
 		return out
 	}
-	info := &OpInfo{Kind: KindWrite, Op: op, Ino: c.handleIno(h), BatchOps: len(reqs)}
-	if err := c.admitSubmitBatch(info); err != nil {
+	f := c.frame(KindWrite, op, c.handleIno(h))
+	f.info.BatchOps = len(reqs)
+	err := c.admitSubmitBatch(f)
+	ino := f.info.Ino
+	f.release()
+	if err != nil {
 		for i := range out {
 			out[i] = completedIO{0, err}
 		}
@@ -665,12 +897,12 @@ func (c *chainFS) SubmitWriteBatch(op *Op, h Handle, reqs []WriteReq) []PendingI
 	}
 	if ba, ok := c.fs.(BatchAsyncFS); ok {
 		for i, p := range ba.SubmitWriteBatch(op, h, reqs) {
-			out[i] = &chainPending{c: c, kind: KindWrite, ino: info.Ino, inner: p}
+			out[i] = &chainPending{c: c, kind: KindWrite, ino: ino, inner: p}
 		}
 		return out
 	}
 	for i, r := range reqs {
-		out[i] = &chainPending{c: c, kind: KindWrite, ino: info.Ino, inner: a.SubmitWrite(op, h, r.Off, r.Data)}
+		out[i] = &chainPending{c: c, kind: KindWrite, ino: ino, inner: a.SubmitWrite(op, h, r.Off, r.Data)}
 	}
 	return out
 }
@@ -686,16 +918,12 @@ type chainPending struct {
 
 // Await implements PendingIO.
 func (p *chainPending) Await(op *Op) (int, error) {
-	info := &OpInfo{Kind: p.kind, Op: op, Ino: p.ino, Async: true}
-	var n int
-	reached := false
-	err := p.c.run(info, func() error {
-		reached = true
-		var err error
-		n, err = p.inner.Await(op)
-		info.Bytes = n
-		return err
-	})
+	f := p.c.frame(p.kind, op, p.ino)
+	f.info.Async = true
+	f.pending, f.call = p.inner, callAwait
+	err := f.run()
+	n, reached := f.n, f.reached
+	f.release()
 	if !reached {
 		// An interceptor short-circuited (e.g. an injected fault) without
 		// calling through: the wire future must still be reaped — a reply
